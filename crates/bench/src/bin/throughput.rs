@@ -12,6 +12,11 @@
 //! cargo run --release -p aikido-bench --bin throughput -- --parallel 4
 //! ```
 //!
+//! The simulator is built from [`SimConfig::from_env_overrides`] (so
+//! `AIKIDO_SHARDED`, `AIKIDO_CHECKPOINT_EVERY` and the other documented
+//! overrides apply), with only `workers` set per lane; the configuration is
+//! printed before the table.
+//!
 //! Emits a human-readable table on stdout and a machine-readable
 //! `BENCH_throughput.json` (path overridable via `BENCH_OUT`) containing,
 //! for every benchmark × mode × worker-count triple: wall time, accesses/sec
@@ -38,7 +43,6 @@ use aikido::staticcheck::CoverageStats;
 use aikido::{
     Mode, RunReport, ShardOccupancy, SimConfig, Simulator, StaticReport, Workload, WorkloadSpec,
 };
-use aikido_bench::scale_from_env;
 use serde::Serialize;
 
 /// Benchmarks measured by the harness, spanning the paper's sharing spectrum
@@ -129,8 +133,10 @@ fn repeats() -> u32 {
         .unwrap_or(DEFAULT_REPEATS)
 }
 
-fn measure(workload: &Workload, mode: Mode, workers: usize, reps: u32) -> (Sample, RunReport) {
-    let sim = Simulator::default().with_workers(workers);
+fn measure(workload: &Workload, mode: Mode, config: SimConfig, reps: u32) -> (Sample, RunReport) {
+    let workers = config.workers;
+    let sim = Simulator::from_config(config)
+        .unwrap_or_else(|err| panic!("invalid simulator configuration: {err}"));
     // Warm-up run (untimed): page in the workload and the allocator. It
     // also captures the shard-occupancy record — identical on every
     // repeat, because routing is deterministic.
@@ -142,16 +148,10 @@ fn measure(workload: &Workload, mode: Mode, workers: usize, reps: u32) -> (Sampl
         let start = Instant::now();
         let report = sim.run(workload, mode);
         let wall = start.elapsed();
-        // Simulation is deterministic: every repeat must reproduce the same
-        // counts, cycles and race reports.
-        assert_eq!(report.counts, baseline.counts, "non-deterministic counts");
-        assert_eq!(report.cycles, baseline.cycles, "non-deterministic cycles");
-        assert_eq!(report.vm, baseline.vm, "non-deterministic VM stats");
-        assert_eq!(
-            report.races.len(),
-            baseline.races.len(),
-            "non-deterministic races"
-        );
+        // Simulation is deterministic: every repeat must reproduce the whole
+        // report (cycles, counts, VM/sharing/code-cache/analysis stats and
+        // every race).
+        assert_eq!(report, baseline, "non-deterministic report");
         if best.is_none_or(|b| wall < b) {
             best = Some(wall);
         }
@@ -175,10 +175,10 @@ fn measure(workload: &Workload, mode: Mode, workers: usize, reps: u32) -> (Sampl
     (sample, baseline)
 }
 
-/// Worker counts to measure: `--parallel N` (or `AIKIDO_PARALLEL=N`) adds a
-/// parallel lane next to the sequential reference.
-fn worker_counts() -> Vec<usize> {
-    let mut parallel = SimConfig::from_env_overrides().workers;
+/// Worker counts to measure: `--parallel N` (or `AIKIDO_PARALLEL=N`, via
+/// `config`) adds a parallel lane next to the sequential reference.
+fn worker_counts(config: &SimConfig) -> Vec<usize> {
+    let mut parallel = config.workers;
     let args: Vec<String> = std::env::args().collect();
     if let Some(i) = args.iter().position(|a| a == "--parallel") {
         if let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
@@ -193,13 +193,15 @@ fn worker_counts() -> Vec<usize> {
 }
 
 fn main() {
-    let scale = scale_from_env();
-    let counts = worker_counts();
+    let config = SimConfig::from_env_overrides();
+    let scale = config.scale;
+    let counts = worker_counts(&config);
     let reps = repeats();
     let parallel_workers = *counts.last().expect("at least one worker count");
     let mut samples = Vec::new();
     let mut static_coverage = Vec::new();
     println!("hot-path throughput (scale {scale}, workers {counts:?}, reps {reps}):");
+    println!("config: {config:?}");
     println!(
         "{:<14} {:>8} {:>7} {:>12} {:>12} {:>14} {:>9} {:>13}",
         "benchmark",
@@ -224,7 +226,8 @@ fn main() {
         for mode in [Mode::Native, Mode::FullInstrumentation, Mode::Aikido] {
             let mut sequential_report: Option<RunReport> = None;
             for &workers in &counts {
-                let (sample, report) = measure(&workload, mode, workers, reps);
+                let lane = config.clone().with_workers(workers);
+                let (sample, report) = measure(&workload, mode, lane, reps);
                 match &sequential_report {
                     None => sequential_report = Some(report),
                     Some(reference) => assert_eq!(

@@ -689,8 +689,8 @@ impl Simulator {
 /// implementation must yield the exact same per-slot stream — the scheduler
 /// (and therefore every report) cannot tell the feeds apart.
 pub(crate) trait BlockFeed {
-    /// Moves `slot`'s next execution into `out` (recycling `out`'s previous
-    /// buffers); returns `false` once the slot's trace is exhausted.
+    /// Writes `slot`'s next execution into `out` (reusing its buffers);
+    /// returns `false` once the slot's trace is exhausted.
     fn next_into(&mut self, slot: usize, out: &mut BlockExec) -> bool;
 }
 

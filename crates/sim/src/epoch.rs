@@ -66,11 +66,11 @@ pub(crate) trait TraceSource: Sync {
 /// One guest thread's stream of block executions (the producer half of
 /// [`BlockFeed`]).
 pub(crate) trait BlockStream {
-    /// Appends up to `target` executions to `batch` (recycling its shells);
+    /// Appends up to `target` executions to `batch` (reusing its shells);
     /// returns `false` once the stream is exhausted.
     fn fill_batch(&mut self, batch: &mut Vec<BlockExec>, target: usize) -> bool;
 
-    /// Produces the next execution into `out` (recycling its buffers);
+    /// Produces the next execution into `out` (overwriting it in place);
     /// returns `false` once the stream is exhausted.
     fn next_into(&mut self, out: &mut BlockExec) -> bool;
 }

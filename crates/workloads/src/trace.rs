@@ -1,7 +1,5 @@
 //! Per-thread trace generation.
 
-use std::collections::VecDeque;
-
 use rand::distributions::{Bernoulli, Distribution, Uniform};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -109,11 +107,21 @@ impl BlockExec {
     }
 }
 
+/// Where a thread's generator stands. Every state emits at most one
+/// execution per pull, so generation never runs ahead of the consumer.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum Phase {
     Init,
     Fork,
     Work,
+    /// Inside a critical section on `lock`: `emitted` body blocks (each
+    /// addressing the lock's slice at `slice_base`) are out; the release
+    /// follows the last one.
+    Critical {
+        lock: LockId,
+        slice_base: Addr,
+        emitted: u32,
+    },
     Join,
     Exit,
     Done,
@@ -130,15 +138,15 @@ enum Phase {
 struct GenParams {
     block_mem_instrs: u64,
     barrier_every: u64,
+    /// Body blocks per critical section (at least one).
     critical_section_blocks: u32,
-    racy_pairs: u32,
     private_base: Addr,
     rm_base: Addr,
     rm_len: u64,
     racy_base: Addr,
     racy_len: u64,
     /// Probability that a work decision picks a shared-touching episode,
-    /// corrected for critical-section amortisation (see `next_work`).
+    /// corrected for critical-section amortisation (see `work_into`).
     choice: Bernoulli,
     locked: Bernoulli,
     read: Bernoulli,
@@ -151,6 +159,7 @@ struct GenParams {
     private_slot: Uniform<u64>,
     slice_slot: Uniform<u64>,
     rm_slot: Uniform<u64>,
+    /// Present only for workloads with racy pairs and a racy area.
     racy_pair: Option<Uniform<u32>>,
 }
 
@@ -177,8 +186,7 @@ impl GenParams {
         GenParams {
             block_mem_instrs: spec.block_mem_instrs as u64,
             barrier_every: spec.barrier_every,
-            critical_section_blocks: spec.critical_section_blocks,
-            racy_pairs: spec.racy_pairs,
+            critical_section_blocks: spec.critical_section_blocks.max(1),
             private_base,
             rm_base,
             rm_len,
@@ -196,12 +204,98 @@ impl GenParams {
             private_slot: Uniform::new(0, private_len / 8),
             slice_slot: Uniform::new(0, slice_len / 8),
             rm_slot: Uniform::new(0, rm_len / 8),
-            racy_pair: (spec.racy_pairs > 0).then(|| Uniform::new(0, spec.racy_pairs)),
+            racy_pair: (spec.racy_pairs > 0 && racy_len > 0)
+                .then(|| Uniform::new(0, spec.racy_pairs)),
+        }
+    }
+
+    /// A private access: a uniformly chosen slot of the thread's own pages.
+    fn private_access(&self, rng: &mut SmallRng) -> (Addr, AccessKind) {
+        let addr = self.private_base.offset(self.private_slot.sample(rng) * 8);
+        (addr, self.read_or_write(rng))
+    }
+
+    fn read_or_write(&self, rng: &mut SmallRng) -> AccessKind {
+        if self.read.sample(rng) {
+            AccessKind::Read
+        } else {
+            AccessKind::Write
         }
     }
 }
 
-/// A deterministic iterator over one thread's block executions.
+/// Writes a one-operation synchronisation execution into `out`. Sync
+/// executions never reach the batched work-block kernels (the scheduler
+/// classifies them first), so `plain` stays false.
+fn fill_sync(out: &mut BlockExec, block: BlockId, op: Operation) {
+    out.block = block;
+    out.ops.clear();
+    out.ops.push(op);
+    out.meta.plain = false;
+    out.meta.runs.clear();
+    out.meta.mem_ops = 0;
+    out.meta.compute_ops = 0;
+}
+
+/// Writes an execution of work block `block` into `out`; `pick` chooses the
+/// address and access kind for each memory instruction.
+///
+/// The block's operation skeleton is precomputed once per workload
+/// ([`crate::workload::BlockTemplate`]): this copies it wholesale and
+/// patches only each memory op's address and kind, building the per-op run
+/// metadata in the same pass.
+fn fill_work<F>(
+    out: &mut BlockExec,
+    workload: &Workload,
+    block: BlockId,
+    rng: &mut SmallRng,
+    mut pick: F,
+) where
+    F: FnMut(&mut SmallRng) -> (Addr, AccessKind),
+{
+    let tmpl = workload.template(block);
+    out.block = block;
+    out.ops.clear();
+    out.ops.extend_from_slice(&tmpl.ops);
+    let meta = &mut out.meta;
+    meta.plain = tmpl.plain;
+    meta.mem_ops = tmpl.mem_ops;
+    meta.compute_ops = tmpl.compute_ops;
+    meta.runs.clear();
+    for (i, op) in out.ops.iter_mut().enumerate() {
+        if let Operation::Mem(m) = op {
+            let (addr, kind) = pick(rng);
+            m.addr = addr;
+            m.kind = kind;
+            if meta.plain {
+                let page = addr.page();
+                match meta.runs.last_mut() {
+                    Some(run)
+                        if run.page == page
+                            && run.kind == kind
+                            && usize::from(run.start) + usize::from(run.len) == i =>
+                    {
+                        run.len += 1;
+                    }
+                    _ => meta.runs.push(MemRun {
+                        start: i as u16,
+                        len: 1,
+                        page,
+                        kind,
+                    }),
+                }
+            }
+        }
+    }
+}
+
+/// A deterministic generator of one thread's block executions.
+///
+/// Generation is pull-based: each call to [`ThreadTrace::next_into`] draws
+/// exactly the random numbers of the one execution it writes, in the order
+/// the executions appear. A critical section's body blocks are therefore
+/// drawn one per pull after its acquire, which is the same order as drawing
+/// them all up front, because nothing else draws in between.
 #[derive(Debug)]
 pub struct ThreadTrace<'a> {
     workload: &'a Workload,
@@ -209,12 +303,6 @@ pub struct ThreadTrace<'a> {
     rng: SmallRng,
     gen: GenParams,
     phase: Phase,
-    pending: VecDeque<BlockExec>,
-    /// Recycled `(operations, runs)` buffer pairs: the simulator's scheduler
-    /// returns each consumed execution's buffers through
-    /// [`ThreadTrace::next_into`], so the steady-state trace loop performs no
-    /// allocation.
-    spare: Vec<(Vec<Operation>, Vec<MemRun>)>,
     remaining_accesses: u64,
     init_remaining: u64,
     init_cursor: u64,
@@ -222,11 +310,14 @@ pub struct ThreadTrace<'a> {
     join_next: u32,
     work_blocks_emitted: u64,
     barrier_counter: u32,
-    /// Barriers that became due while inside a critical section; emitted only
-    /// after the lock is released so no thread ever blocks on a barrier while
-    /// holding a lock.
+    /// Barriers that became due and are not yet emitted. A barrier falling
+    /// due inside a critical section waits for the release, so no thread
+    /// ever blocks on a barrier while holding a lock.
     barriers_due: u32,
-    forced_racy_write_pending: bool,
+    /// True until the thread's first unlocked shared block, whose first
+    /// shared access (if any) goes to the racy area: every thread of a racy
+    /// workload touches it at least once.
+    force_racy: bool,
 }
 
 impl<'a> ThreadTrace<'a> {
@@ -234,10 +325,9 @@ impl<'a> ThreadTrace<'a> {
         let spec = workload.spec();
         let seed = spec.seed ^ (thread.raw() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let is_main = thread == ThreadId::MAIN;
-        let (rm_base, rm_len) = workload.layout().read_mostly_area();
-        let _ = rm_base;
+        let gen = GenParams::new(workload, thread);
         let init_writes = if is_main {
-            (rm_len / 64).min((spec.mem_accesses_per_thread / 10).max(64))
+            (gen.rm_len / 64).min((spec.mem_accesses_per_thread / 10).max(64))
         } else {
             0
         };
@@ -245,10 +335,8 @@ impl<'a> ThreadTrace<'a> {
             workload,
             thread,
             rng: SmallRng::seed_from_u64(seed),
-            gen: GenParams::new(workload, thread),
+            gen,
             phase: if is_main { Phase::Init } else { Phase::Work },
-            pending: VecDeque::new(),
-            spare: Vec::new(),
             remaining_accesses: spec.mem_accesses_per_thread,
             init_remaining: init_writes,
             init_cursor: 0,
@@ -257,49 +345,103 @@ impl<'a> ThreadTrace<'a> {
             work_blocks_emitted: 0,
             barrier_counter: 0,
             barriers_due: 0,
-            forced_racy_write_pending: spec.racy_pairs > 0,
+            force_racy: spec.racy_pairs > 0,
         }
     }
 
-    fn spec(&self) -> &crate::WorkloadSpec {
-        self.workload.spec()
-    }
-
-    /// Pops a recycled buffer pair (or allocates one on cold start).
-    fn grab_buf(&mut self) -> (Vec<Operation>, Vec<MemRun>) {
-        self.spare.pop().unwrap_or_default()
-    }
-
-    /// Returns an exhausted execution's buffers to the pool.
-    fn recycle(&mut self, mut ops: Vec<Operation>, mut runs: Vec<MemRun>) {
-        const MAX_SPARE: usize = 32;
-        if self.spare.len() < MAX_SPARE {
-            ops.clear();
-            runs.clear();
-            self.spare.push((ops, runs));
-        }
-    }
-
-    /// Produces the next execution into `out`, reusing `out`'s operation
-    /// buffer; returns `false` when the trace is exhausted. This is the
-    /// allocation-free interface the simulator's scheduler uses.
+    /// Writes the next execution into `out`, overwriting every field and
+    /// reusing its buffers; returns `false` (leaving `out` untouched) when
+    /// the trace is exhausted. This is the allocation-free interface the
+    /// simulator's scheduler uses.
     pub fn next_into(&mut self, out: &mut BlockExec) -> bool {
-        let ops = std::mem::take(&mut out.ops);
-        let runs = std::mem::take(&mut out.meta.runs);
-        self.recycle(ops, runs);
-        match self.next() {
-            Some(exec) => {
-                *out = exec;
-                true
+        let sets = self.workload.block_sets();
+        loop {
+            match self.phase {
+                Phase::Init => {
+                    if self.init_remaining > 0 {
+                        self.init_into(out);
+                        return true;
+                    }
+                    self.phase = Phase::Fork;
+                }
+                Phase::Fork => {
+                    if self.fork_next < self.workload.spec().threads {
+                        let child = ThreadId::new(self.fork_next);
+                        self.fork_next += 1;
+                        fill_sync(out, sets.fork_block, Operation::Sync(SyncOp::Fork(child)));
+                        return true;
+                    }
+                    self.phase = Phase::Work;
+                }
+                Phase::Work => {
+                    if self.barriers_due > 0 {
+                        self.barriers_due -= 1;
+                        let barrier = SyncOp::Barrier(self.barrier_counter);
+                        self.barrier_counter += 1;
+                        fill_sync(out, sets.barrier_block, Operation::Sync(barrier));
+                        return true;
+                    }
+                    if self.remaining_accesses > 0 {
+                        self.work_into(out);
+                        return true;
+                    }
+                    self.phase = if self.thread == ThreadId::MAIN {
+                        Phase::Join
+                    } else {
+                        Phase::Exit
+                    };
+                }
+                Phase::Critical {
+                    lock,
+                    slice_base,
+                    emitted,
+                } => {
+                    // A critical section amortises one acquire/release pair
+                    // over several shared block executions, but never
+                    // overruns the thread's access budget (which would
+                    // desynchronise barrier cadences across threads).
+                    if emitted < self.gen.critical_section_blocks
+                        && (emitted == 0 || self.remaining_accesses > 0)
+                    {
+                        self.critical_body_into(out, slice_base);
+                        self.phase = Phase::Critical {
+                            lock,
+                            slice_base,
+                            emitted: emitted + 1,
+                        };
+                    } else {
+                        fill_sync(
+                            out,
+                            sets.release_block,
+                            Operation::Sync(SyncOp::Release(lock)),
+                        );
+                        self.phase = Phase::Work;
+                    }
+                    return true;
+                }
+                Phase::Join => {
+                    if self.join_next < self.workload.spec().threads {
+                        let child = ThreadId::new(self.join_next);
+                        self.join_next += 1;
+                        fill_sync(out, sets.join_block, Operation::Sync(SyncOp::Join(child)));
+                        return true;
+                    }
+                    self.phase = Phase::Exit;
+                }
+                Phase::Exit => {
+                    self.phase = Phase::Done;
+                    fill_sync(out, sets.exit_block, Operation::Exit);
+                    return true;
+                }
+                Phase::Done => return false,
             }
-            None => false,
         }
     }
 
     /// Fills `batch` with up to `target` executions, reusing the shells
-    /// already in `batch` (their operation buffers are recycled in place) and
-    /// truncating it to the number actually produced. Returns `false` once
-    /// the trace is exhausted (the batch may still hold a final partial run).
+    /// already in `batch` and truncating it to the number actually produced.
+    /// Returns `false` once the trace is exhausted (the batch may still hold
+    /// a final partial run).
     ///
     /// This is the bulk interface the parallel epoch scheduler's producer
     /// workers use: each epoch a worker refills one batch per guest thread it
@@ -321,156 +463,111 @@ impl<'a> ThreadTrace<'a> {
         true
     }
 
-    fn sync_exec(&mut self, block: BlockId, op: Operation) -> BlockExec {
-        let (mut ops, runs) = self.grab_buf();
-        ops.push(op);
-        // Sync executions never reach the batched work-block kernels (the
-        // scheduler classifies them first), so `plain` stays false.
-        BlockExec {
-            block,
-            ops,
-            meta: BlockMeta {
-                plain: false,
-                runs,
-                mem_ops: 0,
-                compute_ops: 0,
-            },
-        }
-    }
-
-    /// Fills a work block with operations; `pick` chooses the address and
-    /// access kind for each memory instruction.
-    ///
-    /// The block's operation skeleton is precomputed once per workload
-    /// ([`crate::workload::BlockTemplate`]): this copies it wholesale and
-    /// patches only each memory op's address and kind, building the per-op
-    /// run metadata in the same pass.
-    fn work_exec<F>(&mut self, block: BlockId, mut pick: F) -> BlockExec
-    where
-        F: FnMut(&mut SmallRng) -> (Addr, AccessKind),
-    {
-        let (mut ops, runs) = self.grab_buf();
-        let tmpl = self.workload.template(block);
-        let mut meta = BlockMeta {
-            plain: tmpl.plain,
-            runs,
-            mem_ops: tmpl.mem_ops,
-            compute_ops: tmpl.compute_ops,
-        };
-        ops.extend_from_slice(&tmpl.ops);
-        for (i, op) in ops.iter_mut().enumerate() {
-            if let Operation::Mem(m) = op {
-                let (addr, kind) = pick(&mut self.rng);
-                m.addr = addr;
-                m.kind = kind;
-                if meta.plain {
-                    let page = addr.page();
-                    match meta.runs.last_mut() {
-                        Some(run)
-                            if run.page == page
-                                && run.kind == kind
-                                && usize::from(run.start) + usize::from(run.len) == i =>
-                        {
-                            run.len += 1;
-                        }
-                        _ => meta.runs.push(MemRun {
-                            start: i as u16,
-                            len: 1,
-                            page,
-                            kind,
-                        }),
-                    }
-                }
-            }
-        }
-        BlockExec { block, ops, meta }
-    }
-
-    fn next_init(&mut self) -> BlockExec {
-        let spec_block_mem = self.gen.block_mem_instrs;
+    /// The main thread's pre-fork writes of the read-mostly area.
+    fn init_into(&mut self, out: &mut BlockExec) {
+        let sets = self.workload.block_sets();
+        let block = sets.init_blocks[(self.init_cursor as usize) % sets.init_blocks.len()];
         let (rm_base, rm_len) = (self.gen.rm_base, self.gen.rm_len);
-        let block = self.workload.block_sets().init_blocks
-            [(self.init_cursor as usize) % self.workload.block_sets().init_blocks.len()];
-        let mut cursor = self.init_cursor;
-        let exec = self.work_exec(block, |_rng| {
-            let addr = rm_base.offset((cursor * 64) % rm_len.max(64));
-            cursor += 1;
+        let cursor = &mut self.init_cursor;
+        fill_work(out, self.workload, block, &mut self.rng, |_rng| {
+            let addr = rm_base.offset((*cursor * 64) % rm_len.max(64));
+            *cursor += 1;
             (addr, AccessKind::Write)
         });
-        self.init_cursor = cursor;
-        self.init_remaining = self.init_remaining.saturating_sub(spec_block_mem);
-        exec
+        self.init_remaining = self
+            .init_remaining
+            .saturating_sub(self.gen.block_mem_instrs);
     }
 
-    fn next_private(&mut self) -> BlockExec {
-        let blocks = &self.workload.block_sets().private_blocks;
-        let block = blocks[self.gen.private_block.sample(&mut self.rng)];
-        let (base, slot, read) = (self.gen.private_base, self.gen.private_slot, self.gen.read);
-        self.work_exec(block, |rng| {
-            let addr = base.offset(slot.sample(rng) * 8);
-            let kind = if read.sample(rng) {
-                AccessKind::Read
-            } else {
-                AccessKind::Write
+    /// One work decision: a private block, an unlocked shared block, or the
+    /// acquire opening a critical section whose bodies and release follow on
+    /// the next pulls.
+    fn work_into(&mut self, out: &mut BlockExec) {
+        // A locked episode emits `critical_section_blocks` shared blocks while
+        // a private/unlocked choice emits one, so the per-decision probability
+        // is corrected for the spec's *access-level* fraction — precomputed in
+        // [`GenParams::new`].
+        let sets = self.workload.block_sets();
+        let gen = &self.gen;
+        let rng = &mut self.rng;
+        if !gen.choice.sample(rng) {
+            let block = sets.private_blocks[gen.private_block.sample(rng)];
+            fill_work(out, self.workload, block, rng, |rng| {
+                gen.private_access(rng)
+            });
+        } else if gen.locked.sample(rng) {
+            // The critical section charges its own body blocks.
+            let lock_index = gen.lock.sample(rng);
+            let lock = LockId::new(lock_index as u64 + 1);
+            let (slice_base, _) = self.workload.layout().lock_slice(lock_index);
+            fill_sync(
+                out,
+                sets.acquire_block,
+                Operation::Sync(SyncOp::Acquire(lock)),
+            );
+            self.phase = Phase::Critical {
+                lock,
+                slice_base,
+                emitted: 0,
             };
-            (addr, kind)
-        })
+            return;
+        } else {
+            self.unlocked_shared_into(out);
+        }
+        self.charge_work_block();
     }
 
-    /// A lock-protected shared block execution: acquire, accesses within the
-    /// lock's slice, release. Pushes the tail onto the pending queue and
-    /// returns the acquire.
-    fn next_locked_shared(&mut self) -> BlockExec {
-        let acquire_block = self.workload.block_sets().acquire_block;
-        let lock_index = self.gen.lock.sample(&mut self.rng);
-        let lock = LockId::new(lock_index as u64 + 1);
-        let acquire = self.sync_exec(acquire_block, Operation::Sync(SyncOp::Acquire(lock)));
-
-        let (slice_base, _) = self.workload.layout().lock_slice(lock_index);
-        let (shared_within, read) = (self.gen.shared_within, self.gen.read);
-        let (slice_slot, private_slot) = (self.gen.slice_slot, self.gen.private_slot);
-        let private_base = self.gen.private_base;
-        // A critical section amortises one acquire/release pair over several
-        // shared block executions, but never overruns the thread's access
-        // budget (which would desynchronise barrier cadences across threads).
-        for body_index in 0..self.gen.critical_section_blocks.max(1) {
-            if body_index > 0 && self.remaining_accesses == 0 {
-                break;
+    /// A critical-section body: accesses within the held lock's slice.
+    fn critical_body_into(&mut self, out: &mut BlockExec, slice_base: Addr) {
+        let gen = &self.gen;
+        let rng = &mut self.rng;
+        let block = self.workload.block_sets().shared_blocks[gen.shared_block.sample(rng)];
+        fill_work(out, self.workload, block, rng, |rng| {
+            if gen.shared_within.sample(rng) {
+                let addr = slice_base.offset(gen.slice_slot.sample(rng) * 8);
+                (addr, gen.read_or_write(rng))
+            } else {
+                gen.private_access(rng)
             }
-            let blocks = &self.workload.block_sets().shared_blocks;
-            let block = blocks[self.gen.shared_block.sample(&mut self.rng)];
-            let body = self.work_exec(block, |rng| {
-                if shared_within.sample(rng) {
-                    let addr = slice_base.offset(slice_slot.sample(rng) * 8);
-                    let kind = if read.sample(rng) {
-                        AccessKind::Read
-                    } else {
+        });
+        self.charge_work_block();
+    }
+
+    /// An unsynchronised shared block execution: reads of read-mostly data
+    /// (race-free because it was written before the fork) plus, for racy
+    /// workloads, occasional unprotected accesses to the racy area.
+    fn unlocked_shared_into(&mut self, out: &mut BlockExec) {
+        let gen = &self.gen;
+        let rng = &mut self.rng;
+        let block = self.workload.block_sets().shared_blocks[gen.shared_block.sample(rng)];
+        let mut force_racy = std::mem::take(&mut self.force_racy);
+        fill_work(out, self.workload, block, rng, |rng| {
+            if !gen.shared_within.sample(rng) {
+                return gen.private_access(rng);
+            }
+            match gen.racy_pair {
+                Some(racy_pair) if force_racy || gen.racy.sample(rng) => {
+                    force_racy = false;
+                    let pair = racy_pair.sample(rng) as u64;
+                    let addr = gen.racy_base.offset((pair * 64) % gen.racy_len.max(64));
+                    let kind = if gen.half.sample(rng) {
                         AccessKind::Write
-                    };
-                    (addr, kind)
-                } else {
-                    let addr = private_base.offset(private_slot.sample(rng) * 8);
-                    let kind = if read.sample(rng) {
-                        AccessKind::Read
                     } else {
-                        AccessKind::Write
+                        AccessKind::Read
                     };
                     (addr, kind)
                 }
-            });
-            self.pending.push_back(body);
-            self.charge_work_block();
-        }
-        let release_block = self.workload.block_sets().release_block;
-        let release = self.sync_exec(release_block, Operation::Sync(SyncOp::Release(lock)));
-        self.pending.push_back(release);
-        self.flush_due_barriers();
-        acquire
+                _ => (
+                    gen.rm_base.offset(gen.rm_slot.sample(rng) * 8),
+                    AccessKind::Read,
+                ),
+            }
+        });
     }
 
     /// Accounts one work block against the thread's access budget and barrier
-    /// cadence. Barriers are only recorded as *due* here; they are emitted by
-    /// [`ThreadTrace::flush_due_barriers`] once the thread holds no lock.
+    /// cadence. Barriers are only recorded as *due* here; the `Work` phase
+    /// emits them, one per pull, before its next decision.
     fn charge_work_block(&mut self) {
         self.remaining_accesses = self
             .remaining_accesses
@@ -482,88 +579,6 @@ impl<'a> ThreadTrace<'a> {
                 .is_multiple_of(self.gen.barrier_every)
         {
             self.barriers_due += 1;
-        }
-    }
-
-    /// Emits any barriers that became due, outside of critical sections.
-    fn flush_due_barriers(&mut self) {
-        while self.barriers_due > 0 {
-            self.barriers_due -= 1;
-            let barrier = self.sync_exec(
-                self.workload.block_sets().barrier_block,
-                Operation::Sync(SyncOp::Barrier(self.barrier_counter)),
-            );
-            self.barrier_counter += 1;
-            self.pending.push_back(barrier);
-        }
-    }
-
-    /// An unsynchronised shared block execution: reads of read-mostly data
-    /// (race-free because it was written before the fork) plus, for racy
-    /// workloads, occasional unprotected accesses to the racy area.
-    fn next_unlocked_shared(&mut self) -> BlockExec {
-        let blocks = &self.workload.block_sets().shared_blocks;
-        let block = blocks[self.gen.shared_block.sample(&mut self.rng)];
-        let (racy_pairs, racy_base, racy_len) =
-            (self.gen.racy_pairs, self.gen.racy_base, self.gen.racy_len);
-        let (rm_base, rm_slot) = (self.gen.rm_base, self.gen.rm_slot);
-        let (private_base, private_slot) = (self.gen.private_base, self.gen.private_slot);
-        let (shared_within, read, racy, half) = (
-            self.gen.shared_within,
-            self.gen.read,
-            self.gen.racy,
-            self.gen.half,
-        );
-        let racy_pair = self.gen.racy_pair;
-        let mut force_racy = self.forced_racy_write_pending && racy_len > 0;
-        self.forced_racy_write_pending = false;
-        self.work_exec(block, |rng| {
-            if shared_within.sample(rng) {
-                if racy_pairs > 0 && racy_len > 0 && (force_racy || racy.sample(rng)) {
-                    force_racy = false;
-                    let pair = racy_pair.expect("racy_pairs > 0").sample(rng) as u64;
-                    let addr = racy_base.offset((pair * 64) % racy_len.max(64));
-                    let kind = if half.sample(rng) {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    };
-                    (addr, kind)
-                } else {
-                    (rm_base.offset(rm_slot.sample(rng) * 8), AccessKind::Read)
-                }
-            } else {
-                let addr = private_base.offset(private_slot.sample(rng) * 8);
-                let kind = if read.sample(rng) {
-                    AccessKind::Read
-                } else {
-                    AccessKind::Write
-                };
-                (addr, kind)
-            }
-        })
-    }
-
-    fn next_work(&mut self) -> BlockExec {
-        // A locked episode emits `critical_section_blocks` shared blocks while
-        // a private/unlocked choice emits one, so the per-decision probability
-        // is corrected for the spec's *access-level* fraction — precomputed in
-        // [`GenParams::new`].
-        if self.gen.choice.sample(&mut self.rng) {
-            if self.gen.locked.sample(&mut self.rng) {
-                // The critical section charges its own body blocks.
-                self.next_locked_shared()
-            } else {
-                let exec = self.next_unlocked_shared();
-                self.charge_work_block();
-                self.flush_due_barriers();
-                exec
-            }
-        } else {
-            let exec = self.next_private();
-            self.charge_work_block();
-            self.flush_due_barriers();
-            exec
         }
     }
 }
@@ -580,58 +595,8 @@ impl Iterator for ThreadTrace<'_> {
     type Item = BlockExec;
 
     fn next(&mut self) -> Option<BlockExec> {
-        if let Some(exec) = self.pending.pop_front() {
-            return Some(exec);
-        }
-        loop {
-            match self.phase {
-                Phase::Init => {
-                    if self.init_remaining > 0 {
-                        return Some(self.next_init());
-                    }
-                    self.phase = Phase::Fork;
-                }
-                Phase::Fork => {
-                    if self.fork_next < self.spec().threads {
-                        let child = ThreadId::new(self.fork_next);
-                        self.fork_next += 1;
-                        return Some(self.sync_exec(
-                            self.workload.block_sets().fork_block,
-                            Operation::Sync(SyncOp::Fork(child)),
-                        ));
-                    }
-                    self.phase = Phase::Work;
-                }
-                Phase::Work => {
-                    if self.remaining_accesses > 0 {
-                        return Some(self.next_work());
-                    }
-                    self.phase = if self.thread == ThreadId::MAIN {
-                        Phase::Join
-                    } else {
-                        Phase::Exit
-                    };
-                }
-                Phase::Join => {
-                    if self.join_next < self.spec().threads {
-                        let child = ThreadId::new(self.join_next);
-                        self.join_next += 1;
-                        return Some(self.sync_exec(
-                            self.workload.block_sets().join_block,
-                            Operation::Sync(SyncOp::Join(child)),
-                        ));
-                    }
-                    self.phase = Phase::Exit;
-                }
-                Phase::Exit => {
-                    self.phase = Phase::Done;
-                    return Some(
-                        self.sync_exec(self.workload.block_sets().exit_block, Operation::Exit),
-                    );
-                }
-                Phase::Done => return None,
-            }
-        }
+        let mut exec = BlockExec::default();
+        self.next_into(&mut exec).then_some(exec)
     }
 }
 
@@ -654,25 +619,99 @@ mod tests {
         w.thread_trace(ThreadId::new(thread)).collect()
     }
 
+    /// Shells that disagree with every generated execution in every field:
+    /// a foreign block id, stale runs and counts, both values of `plain`,
+    /// and (in the second) more operations than any generated block has.
+    fn dirty_shells() -> [BlockExec; 2] {
+        let foreign = BlockId::new(u32::MAX);
+        let mem = Operation::Mem(MemRef::new(
+            aikido_types::InstrId::new(foreign, 0),
+            Addr::new(0xdead_0000),
+            AccessKind::Write,
+            aikido_types::AddrMode::Indirect,
+        ));
+        let stale = MemRun {
+            start: 3,
+            len: 9,
+            page: Vpn::new(7),
+            kind: AccessKind::Write,
+        };
+        [
+            BlockExec {
+                block: foreign,
+                ops: vec![
+                    Operation::Sync(SyncOp::Acquire(LockId::new(42))),
+                    Operation::Compute { count: 3 },
+                ],
+                meta: BlockMeta {
+                    plain: false,
+                    runs: vec![stale; 3],
+                    mem_ops: 5,
+                    compute_ops: 6,
+                },
+            },
+            BlockExec {
+                block: foreign,
+                ops: vec![mem; 64],
+                meta: BlockMeta {
+                    plain: true,
+                    runs: vec![stale; 40],
+                    mem_ops: 64,
+                    compute_ops: 11,
+                },
+            },
+        ]
+    }
+
+    /// `next_into` and `fill_batch` overwrite every field of the shells they
+    /// are handed: fed nothing but dirty shells, both reproduce the iterator
+    /// stream, on the main thread (init, fork, join) and a worker, with
+    /// locks, barriers and races.
     #[test]
     fn fill_batch_reproduces_the_iterator_stream() {
-        let spec = small_spec();
-        let w = Workload::generate(&spec);
-        let sequential: Vec<BlockExec> = w.thread_trace(ThreadId::new(1)).collect();
-        let mut batched = Vec::new();
-        let mut trace = w.thread_trace(ThreadId::new(1));
-        let mut batch = Vec::new();
-        loop {
-            let more = trace.fill_batch(&mut batch, 7);
-            batched.extend(batch.iter().cloned());
-            if !more {
-                break;
+        let dirty = dirty_shells();
+        let specs = [
+            small_spec(),
+            WorkloadSpec::parsec("fluidanimate").unwrap().scaled(0.05),
+            WorkloadSpec::parsec("canneal").unwrap().scaled(0.05),
+        ];
+        for spec in &specs {
+            let w = Workload::generate(spec);
+            for thread in [ThreadId::MAIN, ThreadId::new(1)] {
+                let sequential: Vec<BlockExec> = w.thread_trace(thread).collect();
+                let context = format!("{} {thread}", spec.name);
+
+                let mut pulled = Vec::new();
+                let mut trace = w.thread_trace(thread);
+                for shell in dirty.iter().cycle() {
+                    let mut out = shell.clone();
+                    if !trace.next_into(&mut out) {
+                        assert_eq!(&out, shell, "{context}: exhaustion leaves the shell");
+                        break;
+                    }
+                    pulled.push(out);
+                }
+                assert_eq!(pulled, sequential, "{context}: next_into");
+
+                let mut batched = Vec::new();
+                let mut trace = w.thread_trace(thread);
+                let mut batch = Vec::new();
+                loop {
+                    batch.clear();
+                    batch.extend(dirty.iter().cycle().take(9).cloned());
+                    let more = trace.fill_batch(&mut batch, 7);
+                    batched.append(&mut batch);
+                    if !more {
+                        break;
+                    }
+                }
+                assert_eq!(batched, sequential, "{context}: fill_batch");
+                // Exhausted traces keep reporting exhaustion with empty batches.
+                batch.extend(dirty.iter().cloned());
+                assert!(!trace.fill_batch(&mut batch, 7));
+                assert!(batch.is_empty());
             }
         }
-        assert_eq!(batched, sequential);
-        // Exhausted traces keep reporting exhaustion with empty batches.
-        assert!(!trace.fill_batch(&mut batch, 7));
-        assert!(batch.is_empty());
     }
 
     #[test]
