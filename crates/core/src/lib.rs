@@ -112,8 +112,8 @@ pub use aikido_staticcheck as staticcheck;
 
 pub use aikido_fasttrack::{FastTrack, FastTrackConfig};
 pub use aikido_sim::{
-    CheckpointOutcome, Comparison, CostModel, FaultPlan, Mode, RunCounts, RunReport,
-    ShardOccupancy, SimConfig, SimConfigError, SimError, Simulator, Snapshot, SnapshotError,
+    CheckpointOutcome, Comparison, CostModel, FaultPlan, Mode, RunCounts, RunReport, SimConfig,
+    SimConfigError, SimError, Simulator, Snapshot, SnapshotError,
 };
 pub use aikido_staticcheck::{StaticAudit, StaticReport};
 pub use aikido_types::{

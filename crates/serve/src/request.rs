@@ -118,6 +118,7 @@ impl RunRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AdmitError;
 
     #[test]
     fn parses_the_documented_wire_format() {
@@ -174,6 +175,27 @@ mod tests {
             let err = RunRequest::from_json(bad).unwrap_err();
             assert!(err.contains(needle), "{bad} -> {err}");
         }
+    }
+
+    #[test]
+    fn a_config_with_the_retired_sharded_analysis_key_is_an_invalid_config() {
+        let config = r#"{"workers": 2, "sharded_analysis": true}"#;
+        let wire = format!(
+            r#"{{"tenant": "t", "workload": {{"preset": "vips"}}, "mode": "aikido", "config": {config}}}"#
+        );
+        let err = RunRequest::from_json(&wire).unwrap_err();
+        // The wire rejection reads exactly as admission's refusal of the
+        // same config: an `invalid_config` naming the unknown field.
+        let refusal = AdmitError::from(
+            SimConfig::from_json_value(&serde_json::from_str(config).unwrap()).unwrap_err(),
+        );
+        assert!(
+            matches!(&refusal, AdmitError::InvalidConfig { field, reason }
+                if field == "config" && reason.contains("unknown field 'sharded_analysis'")),
+            "{refusal}"
+        );
+        assert_eq!(refusal.kind(), "invalid_config");
+        assert_eq!(err, refusal.to_string());
     }
 
     #[test]

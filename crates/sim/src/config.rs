@@ -82,14 +82,6 @@ pub struct SimConfig {
     /// in the FastTrack analysis (`FastTrack::with_packed_words`). Reports
     /// are byte-identical either way.
     pub packed_words: bool,
-    /// Sharded parallel analysis (`Simulator::with_sharded_analysis`): when
-    /// running with `workers > 1` in an analysed mode, FastTrack work for
-    /// pages owned by a single worker partition is analysed on per-shard
-    /// replicas drained by pool threads, with contended pages escalated to
-    /// the commit thread and shard state merged deterministically. Reports
-    /// are byte-identical either way; `false` retains the commit-thread-only
-    /// path as the equivalence oracle. Inert at `workers == 1`.
-    pub sharded_analysis: bool,
     /// Periodic checkpoint policy for
     /// [`Simulator::run_checkpointed`](crate::Simulator::run_checkpointed):
     /// every `N` block executions the run pauses, serializes, re-validates
@@ -114,7 +106,6 @@ impl Default for SimConfig {
             inline_tlb: true,
             static_precheck: true,
             packed_words: true,
-            sharded_analysis: true,
             checkpoint_every: None,
             scale: 1.0,
         }
@@ -162,13 +153,6 @@ impl SimConfig {
     /// enum store for the FastTrack analysis.
     pub fn with_packed_words(mut self, packed: bool) -> Self {
         self.packed_words = packed;
-        self
-    }
-
-    /// Builder: enables or disables sharded parallel analysis (`false`
-    /// retains the commit-thread-only oracle path).
-    pub fn with_sharded_analysis(mut self, sharded: bool) -> Self {
-        self.sharded_analysis = sharded;
         self
     }
 
@@ -221,7 +205,6 @@ impl SimConfig {
     /// | `AIKIDO_PARALLEL` | `workers` | integer ≥ 1; otherwise ignored |
     /// | `AIKIDO_CHECKPOINT_EVERY` | `checkpoint_every` | integer ≥ 1; 0, unset or unparsable disable the policy |
     /// | `AIKIDO_SCALE` | `scale` | float > 0; otherwise ignored |
-    /// | `AIKIDO_SHARDED` | `sharded_analysis` | `1`/`true` or `0`/`false`; otherwise ignored |
     pub fn from_env_overrides() -> Self {
         Self::default().with_env_overrides()
     }
@@ -240,15 +223,6 @@ impl SimConfig {
         {
             self.scale = scale;
         }
-        if let Some(sharded) =
-            parse_env::<String>("AIKIDO_SHARDED").and_then(|v| match v.as_str() {
-                "1" | "true" => Some(true),
-                "0" | "false" => Some(false),
-                _ => None,
-            })
-        {
-            self.sharded_analysis = sharded;
-        }
         self
     }
 
@@ -266,15 +240,20 @@ impl SimConfig {
         let mut config = SimConfig::default();
         for (key, value) in entries {
             match key.as_str() {
-                "quantum" => config.quantum = json_u64(value, "quantum")? as u32,
+                "quantum" => {
+                    let quantum = json_u64(value, "quantum")?;
+                    config.quantum = u32::try_from(quantum).map_err(|_| {
+                        SimConfigError::new(
+                            "quantum",
+                            format!("must be at most {}, got {quantum}", u32::MAX),
+                        )
+                    })?
+                }
                 "workers" => config.workers = json_u64(value, "workers")? as usize,
                 "batched_kernels" => config.batched_kernels = json_bool(value, "batched_kernels")?,
                 "inline_tlb" => config.inline_tlb = json_bool(value, "inline_tlb")?,
                 "static_precheck" => config.static_precheck = json_bool(value, "static_precheck")?,
                 "packed_words" => config.packed_words = json_bool(value, "packed_words")?,
-                "sharded_analysis" => {
-                    config.sharded_analysis = json_bool(value, "sharded_analysis")?
-                }
                 "checkpoint_every" => {
                     config.checkpoint_every = match value {
                         serde_json::Value::Null => None,
@@ -341,7 +320,6 @@ mod tests {
         assert!(config.inline_tlb);
         assert!(config.static_precheck);
         assert!(config.packed_words);
-        assert!(config.sharded_analysis);
         assert_eq!(config.checkpoint_every, None);
         assert_eq!(config.scale, 1.0);
     }
@@ -374,7 +352,6 @@ mod tests {
             .with_inline_tlb(false)
             .with_static_precheck(false)
             .with_packed_words(false)
-            .with_sharded_analysis(false)
             .with_checkpoint_every(Some(512))
             .with_scale(0.25);
         let json = serde_json::to_string(&config).unwrap();
@@ -405,6 +382,11 @@ mod tests {
             "quantum",
             "parsed configs are validated"
         );
+
+        let bad = serde_json::from_str(r#"{"quantum": 4294967297}"#).unwrap();
+        let err = SimConfig::from_json_value(&bad).unwrap_err();
+        assert_eq!(err.field, "quantum", "out-of-range quanta never truncate");
+        assert!(err.reason.contains("4294967297"), "{err}");
 
         let bad = serde_json::from_str(r#"{"workers": 1.5}"#).unwrap();
         assert!(SimConfig::from_json_value(&bad).is_err());

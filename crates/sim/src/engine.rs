@@ -16,15 +16,13 @@ use crate::config::{SimConfig, SimConfigError};
 use crate::cost::CostModel;
 use crate::epoch::TraceSource;
 use crate::report::{RunCounts, RunReport};
-use crate::shard_plane::{ShardOccupancy, ShardPlane};
 
 /// A recoverable simulation failure surfaced by the `try_` entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A pool worker panicked — an epoch-engine block producer or an
-    /// analysis-shard worker. The commit thread drained the surviving
-    /// lanes and shut the pool down cleanly; nothing from the failed
-    /// epoch or flush is merged and the partial run is discarded.
+    /// An epoch-engine block producer panicked. The commit thread drained
+    /// the surviving lanes and shut the pool down cleanly; nothing from the
+    /// failed epoch is retired and the partial run is discarded.
     WorkerPanic {
         /// The panic payload, when it was a string.
         message: String,
@@ -137,6 +135,23 @@ impl Comparison {
         } else {
             self.full.cycles as f64 / self.aikido.cycles as f64
         }
+    }
+}
+
+/// The occupancy record [`Simulator::try_run_with_occupancy`] pairs with a
+/// report. No run produces one: all analysis runs on the commit thread.
+///
+/// Kept only for the `perfbench/` package's API.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardOccupancy {
+    /// Accesses escalated to the commit thread.
+    pub escalated: u64,
+}
+
+impl ShardOccupancy {
+    /// Total accesses the record covers.
+    pub fn total(&self) -> u64 {
+        self.escalated
     }
 }
 
@@ -268,17 +283,6 @@ impl Simulator {
         self
     }
 
-    /// Enables or disables sharded parallel analysis (the default is
-    /// enabled) — the simulator-level spelling of
-    /// [`SimConfig::with_sharded_analysis`]. With it off, parallel runs
-    /// retire every analysis callback on the commit thread, which is the
-    /// equivalence oracle the sharded plane is pinned against: reports are
-    /// byte-identical either way at every worker count.
-    pub fn with_sharded_analysis(mut self, enabled: bool) -> Self {
-        self.config.sharded_analysis = enabled;
-        self
-    }
-
     /// The cost model in use.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
@@ -305,56 +309,25 @@ impl Simulator {
     /// failures (such as a panicking epoch producer) as a structured
     /// [`SimError`] instead of panicking or hanging.
     pub fn try_run(&self, workload: &Workload, mode: Mode) -> Result<RunReport, SimError> {
-        self.try_run_with_occupancy(workload, mode)
-            .map(|(report, _)| report)
+        let mut analysis = self.new_fasttrack();
+        let mut run = Run::new(self, workload, mode, &mut analysis);
+        let mut states = run.initial_states();
+        self.drive(workload, workload, &mut run, &mut states, None, false)?;
+        let mut report = run.into_report();
+        report.fasttrack = Some(*analysis.stats());
+        Ok(report)
     }
 
-    /// [`Simulator::try_run`], additionally returning the sharded-analysis
-    /// occupancy record — how many accesses each worker shard analysed
-    /// locally and how many escalated to the commit thread. `None` when the
-    /// run analysed on the commit thread only (sharding disabled, a single
-    /// worker or thread, or native mode).
+    /// [`Simulator::try_run`] paired with an occupancy record that is always
+    /// `None`: every run analyses on the commit thread.
+    ///
+    /// Kept only for the `perfbench/` package's API.
     pub fn try_run_with_occupancy(
         &self,
         workload: &Workload,
         mode: Mode,
     ) -> Result<(RunReport, Option<ShardOccupancy>), SimError> {
-        let mut analysis = self.new_fasttrack();
-        let mut run = Run::new(self, workload, mode, &mut analysis);
-        if self.sharded_analysis_active(workload, mode) {
-            run.shard_plane = Some(self.new_shard_plane(workload));
-        }
-        let mut states = run.initial_states();
-        self.drive(workload, workload, &mut run, &mut states, None, false)?;
-        let occupancy = run.shard_plane.as_ref().map(ShardPlane::occupancy);
-        let mut report = run.into_report();
-        if report.fasttrack.is_none() {
-            report.fasttrack = Some(*analysis.stats());
-        }
-        Ok((report, occupancy))
-    }
-
-    /// True when this run analyses on the sharded worker-pool plane: the
-    /// [`SimConfig::sharded_analysis`] toggle is on, the run is parallel
-    /// (multiple workers and guest threads — the same condition that turns
-    /// on the epoch engine) and the mode delivers analysis callbacks at all.
-    fn sharded_analysis_active(&self, workload: &Workload, mode: Mode) -> bool {
-        self.config.sharded_analysis
-            && mode != Mode::Native
-            && self.config.workers > 1
-            && workload.threads().len() > 1
-    }
-
-    /// Builds the sharded-analysis plane around a fresh canonical detector.
-    fn new_shard_plane(&self, workload: &Workload) -> ShardPlane {
-        let threads = workload.threads();
-        let contention = self.cost.contention_factor(threads.len() as u32);
-        ShardPlane::new(
-            self.new_fasttrack(),
-            self.config.workers,
-            threads,
-            contention,
-        )
+        self.try_run(workload, mode).map(|report| (report, None))
     }
 
     /// Runs `workload` in `mode` with a caller-provided analysis tool.
@@ -432,9 +405,6 @@ impl Simulator {
     ) -> Result<CheckpointOutcome, SimError> {
         let mut analysis = self.new_fasttrack();
         let mut run = Run::new(self, workload, mode, &mut analysis);
-        if self.sharded_analysis_active(workload, mode) {
-            run.shard_plane = Some(self.new_shard_plane(workload));
-        }
         let mut states = run.initial_states();
         let status = self.drive(
             workload,
@@ -448,9 +418,7 @@ impl Simulator {
             ExecStatus::Paused => CheckpointOutcome::Paused(run.encode_snapshot(&states)),
             ExecStatus::Completed => {
                 let mut report = run.into_report();
-                if report.fasttrack.is_none() {
-                    report.fasttrack = Some(*analysis.stats());
-                }
+                report.fasttrack = Some(*analysis.stats());
                 CheckpointOutcome::Completed(Box::new(report))
             }
         })
@@ -513,26 +481,6 @@ impl Simulator {
         let mut analysis = FastTrack::decode_snapshot(&mut ftrk)?;
         ftrk.finish()?;
 
-        // Under sharded analysis the restored detector becomes the plane's
-        // canonical detector (its tracked pages start commit-owned and the
-        // shard replicas fork its clock plane); the run's analysis slot
-        // holds a fresh never-delivered placeholder. The toggle is not part
-        // of the snapshot identity: images resume cleanly across sharding
-        // configurations, exactly like worker counts.
-        let shard_plane = if self.sharded_analysis_active(workload, mode) {
-            let canonical = std::mem::replace(&mut analysis, self.new_fasttrack());
-            let threads = workload.threads();
-            let contention = self.cost.contention_factor(threads.len() as u32);
-            Some(ShardPlane::new(
-                canonical,
-                self.config.workers,
-                threads,
-                contention,
-            ))
-        } else {
-            None
-        };
-
         let mut tcch = reader.section(*b"TCCH", TCCH_VERSION)?;
         let cache = TranslationCache::decode_snapshot(&mut tcch)?;
         tcch.finish()?;
@@ -569,15 +517,12 @@ impl Simulator {
             cache,
             sched,
         );
-        run.shard_plane = shard_plane;
         let status = self.drive(workload, workload, &mut run, &mut states, stop_after, true)?;
         Ok(match status {
             ExecStatus::Paused => CheckpointOutcome::Paused(run.encode_snapshot(&states)),
             ExecStatus::Completed => {
                 let mut report = run.into_report();
-                if report.fasttrack.is_none() {
-                    report.fasttrack = Some(*analysis.stats());
-                }
+                report.fasttrack = Some(*analysis.stats());
                 CheckpointOutcome::Completed(Box::new(report))
             }
         })
@@ -604,7 +549,7 @@ impl Simulator {
             if fast_forward {
                 fast_forward_feed(&mut feed, states)?;
             }
-            return run.execute(&mut feed, states, stop_after);
+            return Ok(run.execute(&mut feed, states, stop_after));
         }
         let (status, panic) = std::thread::scope(|scope| {
             let mut feed =
@@ -614,7 +559,7 @@ impl Simulator {
                 if fast_forward {
                     fast_forward_feed(&mut feed, states)?;
                 }
-                run.execute(&mut feed, states, stop_after)
+                Ok(run.execute(&mut feed, states, stop_after))
             })();
             // Dropping the feed disconnects every lane, letting any
             // producer that ran ahead of the commit clock exit before the
@@ -648,27 +593,6 @@ impl Simulator {
         let mut run = Run::new(self, workload, mode, &mut analysis);
         let mut states = run.initial_states();
         self.drive(workload, source, &mut run, &mut states, None, false)?;
-        Ok(run.into_report())
-    }
-
-    /// Test seam: runs with the sharded analysis plane forced on and a
-    /// panic injected into `shard`'s analysis worker at its first
-    /// non-empty flush — how the fault-injection tests prove a shard
-    /// panic is contained (structured error, nothing merged, no hang).
-    #[cfg(test)]
-    fn try_run_with_shard_fault(
-        &self,
-        workload: &Workload,
-        mode: Mode,
-        shard: usize,
-    ) -> Result<RunReport, SimError> {
-        let mut analysis = self.new_fasttrack();
-        let mut run = Run::new(self, workload, mode, &mut analysis);
-        let mut plane = self.new_shard_plane(workload);
-        plane.inject_panic_in_shard(shard);
-        run.shard_plane = Some(plane);
-        let mut states = run.initial_states();
-        self.drive(workload, workload, &mut run, &mut states, None, false)?;
         Ok(run.into_report())
     }
 
@@ -800,12 +724,6 @@ struct Run<'a, 'w, A: SharedDataAnalysis> {
     /// lookup and one mirror translation per instrumented run with a single
     /// probe. Misses fall through to the authoritative lookups.
     shared_pages: Vec<SharedPageInfo>,
-    /// The sharded analysis plane, when active. While present it receives
-    /// every analysis delivery (accesses routed by page ownership, sync
-    /// broadcast) and `analysis` is a never-delivered placeholder; the
-    /// plane's canonical detector supplies the report, races and snapshot
-    /// bytes instead.
-    shard_plane: Option<ShardPlane>,
 }
 
 /// One [`Run::shared_pages`] entry.
@@ -915,7 +833,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             cx_scratch: Vec::new(),
             cost_scratch: Vec::new(),
             shared_pages: vec![SharedPageInfo::EMPTY; SHARED_PAGE_ENTRIES],
-            shard_plane: None,
         };
         run.setup();
         run
@@ -1037,7 +954,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             cx_scratch: Vec::new(),
             cost_scratch: Vec::new(),
             shared_pages: vec![SharedPageInfo::EMPTY; SHARED_PAGE_ENTRIES],
-            shard_plane: None,
         };
         (run, states)
     }
@@ -1063,18 +979,12 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     /// end of the scheduling round ([`ExecStatus::Paused`]). Pausing only at
     /// round boundaries keeps the checkpoint surface small: no thread is
     /// mid-quantum, so `states` plus the components is the whole state.
-    ///
-    /// With the shard plane active, queued analysis work is flushed at round
-    /// boundaries once enough accesses accumulate, and the plane is finalized
-    /// (merged into its canonical detector, cycles charged) before either
-    /// return — so a pause snapshot and a completed report both see the fully
-    /// merged detector. A shard panic surfaces as [`SimError::WorkerPanic`].
     fn execute<F: BlockFeed>(
         &mut self,
         feed: &mut F,
         states: &mut [ThreadState],
         stop_after: Option<u64>,
-    ) -> Result<ExecStatus, SimError> {
+    ) -> ExecStatus {
         loop {
             let mut progress = false;
             for i in 0..states.len() {
@@ -1127,19 +1037,11 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             if !progress {
                 break;
             }
-            if let Some(plane) = self.shard_plane.as_mut() {
-                if plane.should_flush() {
-                    plane
-                        .flush()
-                        .map_err(|message| SimError::WorkerPanic { message })?;
-                }
-            }
             if let Some(stop) = stop_after {
                 if self.counts.block_execs >= stop
                     && states.iter().any(|s| s.started && !s.finished)
                 {
-                    self.finalize_shard_plane()?;
-                    return Ok(ExecStatus::Paused);
+                    return ExecStatus::Paused;
                 }
             }
         }
@@ -1147,22 +1049,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             states.iter().all(|s| !s.started || s.finished),
             "scheduler ended with runnable threads (deadlock in the generated workload?)"
         );
-        self.finalize_shard_plane()?;
-        Ok(ExecStatus::Completed)
-    }
-
-    /// Merges the shard plane (when active) into its canonical detector and
-    /// charges the plane's accumulated analysis cycles; a shard panic during
-    /// the final flush surfaces as [`SimError::WorkerPanic`] with nothing
-    /// merged.
-    fn finalize_shard_plane(&mut self) -> Result<(), SimError> {
-        if let Some(plane) = self.shard_plane.as_mut() {
-            let cycles = plane
-                .finalize()
-                .map_err(|message| SimError::WorkerPanic { message })?;
-            self.cycles += cycles;
-        }
-        Ok(())
+        ExecStatus::Completed
     }
 
     fn classify(&self, exec: &BlockExec) -> BlockKind {
@@ -1215,11 +1102,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                     self.set_lock_owner(lock, Some(thread));
                     self.charge_sync();
                     if self.mode != Mode::Native {
-                        if let Some(plane) = self.shard_plane.as_mut() {
-                            plane.enqueue_acquire(thread, lock);
-                        } else {
-                            self.analysis.on_acquire(thread, lock);
-                        }
+                        self.analysis.on_acquire(thread, lock);
                         self.cycles += self.analysis.sync_cost_cycles();
                     }
                     SyncOutcome::Done
@@ -1229,11 +1112,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                     self.set_lock_owner(lock, None);
                     self.charge_sync();
                     if self.mode != Mode::Native {
-                        if let Some(plane) = self.shard_plane.as_mut() {
-                            plane.enqueue_release(thread, lock);
-                        } else {
-                            self.analysis.on_release(thread, lock);
-                        }
+                        self.analysis.on_release(thread, lock);
                         self.cycles += self.analysis.sync_cost_cycles();
                     }
                     SyncOutcome::Done
@@ -1244,11 +1123,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                         state.started = true;
                     }
                     if self.mode != Mode::Native {
-                        if let Some(plane) = self.shard_plane.as_mut() {
-                            plane.enqueue_fork(thread, child);
-                        } else {
-                            self.analysis.on_fork(thread, child);
-                        }
+                        self.analysis.on_fork(thread, child);
                         self.cycles += self.analysis.sync_cost_cycles();
                     }
                     if let (Some(vm), Some(sd)) = (self.vm.as_mut(), self.sd.as_mut()) {
@@ -1277,11 +1152,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                     }
                     self.charge_sync();
                     if self.mode != Mode::Native {
-                        if let Some(plane) = self.shard_plane.as_mut() {
-                            plane.enqueue_join(thread, child);
-                        } else {
-                            self.analysis.on_join(thread, child);
-                        }
+                        self.analysis.on_join(thread, child);
                         self.cycles += self.analysis.sync_cost_cycles();
                     }
                     SyncOutcome::Done
@@ -1308,11 +1179,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                         self.barriers_done[slot] = true;
                         self.charge_sync();
                         if self.mode != Mode::Native {
-                            if let Some(plane) = self.shard_plane.as_mut() {
-                                plane.enqueue_barrier(id);
-                            } else {
-                                self.analysis.on_barrier(&self.threads, id);
-                            }
+                            self.analysis.on_barrier(&self.threads, id);
                             self.cycles += self.analysis.sync_cost_cycles();
                         }
                         SyncOutcome::Done
@@ -1451,22 +1318,12 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     fn work_block_sync(&mut self, thread: ThreadId, op: &SyncOp) {
         self.charge_sync();
         if self.mode != Mode::Native {
-            if let Some(plane) = self.shard_plane.as_mut() {
-                match op {
-                    SyncOp::Acquire(l) => plane.enqueue_acquire(thread, *l),
-                    SyncOp::Release(l) => plane.enqueue_release(thread, *l),
-                    SyncOp::Fork(c) => plane.enqueue_fork(thread, *c),
-                    SyncOp::Join(c) => plane.enqueue_join(thread, *c),
-                    SyncOp::Barrier(id) => plane.enqueue_barrier(*id),
-                }
-            } else {
-                match op {
-                    SyncOp::Acquire(l) => self.analysis.on_acquire(thread, *l),
-                    SyncOp::Release(l) => self.analysis.on_release(thread, *l),
-                    SyncOp::Fork(c) => self.analysis.on_fork(thread, *c),
-                    SyncOp::Join(c) => self.analysis.on_join(thread, *c),
-                    SyncOp::Barrier(id) => self.analysis.on_barrier(&self.threads, *id),
-                }
+            match op {
+                SyncOp::Acquire(l) => self.analysis.on_acquire(thread, *l),
+                SyncOp::Release(l) => self.analysis.on_release(thread, *l),
+                SyncOp::Fork(c) => self.analysis.on_fork(thread, *c),
+                SyncOp::Join(c) => self.analysis.on_join(thread, *c),
+                SyncOp::Barrier(id) => self.analysis.on_barrier(&self.threads, *id),
             }
             self.cycles += self.analysis.sync_cost_cycles();
         }
@@ -2034,10 +1891,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 instr: m.instr,
             }
         }));
-        if let Some(plane) = self.shard_plane.as_mut() {
-            plane.enqueue_run(thread, page, kind, &self.cx_scratch, shared);
-            return;
-        }
         self.analysis
             .on_access_run(page, kind, &self.cx_scratch, &mut self.cost_scratch);
         if shared {
@@ -2125,10 +1978,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             size: m.size,
             instr: m.instr,
         };
-        if let Some(plane) = self.shard_plane.as_mut() {
-            plane.enqueue_access(cx, shared);
-            return;
-        }
         self.analysis.on_access(cx);
         let base = self.analysis.last_access_cost_cycles();
         let cost = if shared {
@@ -2328,7 +2177,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         self.fatal_accesses += 1;
     }
 
-    fn into_report(mut self) -> RunReport {
+    fn into_report(self) -> RunReport {
         debug_assert_eq!(self.fatal_accesses, 0, "workload produced fatal accesses");
         // The engine honours instrumentation requests even when they
         // contradict the installed static plan, so an unsound claim can never
@@ -2343,16 +2192,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             0,
             "static pre-analysis plan contradicted by an instrumentation request"
         );
-        // With the shard plane active, the merged canonical detector is the
-        // analysis of record (`self.analysis` is the never-delivered
-        // placeholder); the plane must already be finalized by `execute`.
-        let (fasttrack, races) = match self.shard_plane.take() {
-            Some(plane) => {
-                let canonical = plane.into_canonical();
-                (Some(*canonical.stats()), canonical.races().to_vec())
-            }
-            None => (None, self.analysis.reports()),
-        };
         RunReport {
             workload: self.workload.spec().name.clone(),
             mode: self.mode.label().to_string(),
@@ -2366,8 +2205,8 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 .map(|e| *e.cache_stats())
                 .unwrap_or_default(),
             sharing: self.sd.as_ref().map(|s| *s.stats()).unwrap_or_default(),
-            fasttrack,
-            races,
+            fasttrack: None,
+            races: self.analysis.reports(),
         }
     }
 }
@@ -2590,13 +2429,7 @@ impl<'w> Run<'_, 'w, FastTrack> {
         builder.push(schd);
 
         let mut ftrk = SectionWriter::new(*b"FTRK", FTRK_VERSION);
-        match &self.shard_plane {
-            // The plane was finalized before the pause, so its canonical
-            // detector holds the fully merged state — byte-identical to
-            // what a sequential run would serialize here.
-            Some(plane) => plane.canonical().encode_snapshot(&mut ftrk),
-            None => self.analysis.encode_snapshot(&mut ftrk),
-        }
+        self.analysis.encode_snapshot(&mut ftrk);
         builder.push(ftrk);
 
         let mut tcch = SectionWriter::new(*b"TCCH", TCCH_VERSION);
@@ -2956,27 +2789,24 @@ mod tests {
         std::env::set_var("AIKIDO_PARALLEL", "4");
         std::env::set_var("AIKIDO_CHECKPOINT_EVERY", "300");
         std::env::set_var("AIKIDO_SCALE", "0.25");
-        std::env::set_var("AIKIDO_SHARDED", "0");
         let config = SimConfig::from_env_overrides();
         assert_eq!(config.workers, 4);
         assert_eq!(config.checkpoint_every, Some(300));
         assert_eq!(config.scale, 0.25);
-        assert!(!config.sharded_analysis);
 
         std::env::set_var("AIKIDO_PARALLEL", "0");
         std::env::set_var("AIKIDO_CHECKPOINT_EVERY", "0");
         std::env::set_var("AIKIDO_SCALE", "-1");
-        std::env::set_var("AIKIDO_SHARDED", "true");
         let config = SimConfig::from_env_overrides();
         assert_eq!(config.workers, 1, "0 is not a worker count");
         assert_eq!(config.checkpoint_every, None, "0 disables the policy");
         assert_eq!(config.scale, 1.0, "non-positive scales are ignored");
-        assert!(config.sharded_analysis);
 
         std::env::set_var("AIKIDO_PARALLEL", "not-a-number");
         std::env::set_var("AIKIDO_CHECKPOINT_EVERY", "not-a-number");
         std::env::set_var("AIKIDO_SCALE", "not-a-number");
-        std::env::set_var("AIKIDO_SHARDED", "not-a-bool");
+        // The retired sharded-analysis switch no longer configures anything.
+        std::env::set_var("AIKIDO_SHARDED", "0");
         assert_eq!(SimConfig::from_env_overrides(), SimConfig::default());
 
         for var in vars {
@@ -3142,76 +2972,12 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_analysis_shard_surfaces_as_a_structured_error() {
-        // The sharded-analysis counterpart of the producer-panic test: a
-        // shard worker that dies mid-flush must drain the lanes, merge
-        // nothing and surface the payload — never hang or emit a partial
-        // report.
-        let w = small("blackscholes");
-        for workers in [2, 4] {
-            let sim = Simulator::default().with_workers(workers);
-            let err = sim
-                .try_run_with_shard_fault(&w, Mode::Aikido, 0)
-                .expect_err("the injected shard panic must fail the run");
-            match err {
-                SimError::WorkerPanic { ref message } => {
-                    assert!(
-                        message.contains("injected analysis shard panic"),
-                        "panic payload lost: {message:?}"
-                    );
-                }
-                ref other => panic!("expected WorkerPanic, got {other:?}"),
-            }
-            assert!(err.to_string().contains("injected analysis shard panic"));
-        }
-    }
-
-    #[test]
-    fn sharded_analysis_reproduces_the_commit_thread_oracle() {
-        // The SimConfig toggle retains the commit-thread-only path as the
-        // equivalence oracle: identical reports (cycles, stats, races and
-        // all) with sharding on vs off, at several worker counts.
-        let w = small("streamcluster");
-        for mode in [Mode::FullInstrumentation, Mode::Aikido] {
-            let oracle = Simulator::default()
-                .with_sharded_analysis(false)
-                .run(&w, mode);
-            for workers in [2, 4, 8] {
-                let sharded = Simulator::default().with_workers(workers).run(&w, mode);
-                assert_eq!(sharded, oracle, "workers={workers} mode={mode:?}");
-                let unsharded = Simulator::default()
-                    .with_workers(workers)
-                    .with_sharded_analysis(false)
-                    .run(&w, mode);
-                assert_eq!(unsharded, oracle, "workers={workers} mode={mode:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_occupancy_is_reported_for_parallel_runs_only() {
+    fn occupancy_entry_point_is_try_run_without_a_record() {
         let w = small("bodytrack");
         let sim = Simulator::default().with_workers(4);
         let (report, occupancy) = sim.try_run_with_occupancy(&w, Mode::Aikido).unwrap();
-        let occupancy = occupancy.expect("parallel aikido runs shard their analysis");
-        assert_eq!(occupancy.per_shard.len(), 4);
-        assert!(occupancy.total() > 0, "the run delivered accesses");
-        // Every routed access is an instrumented access the run observed
-        // (the exact count also includes fault-path deliveries, so the
-        // plane total is bounded by the report's access counters).
-        assert!(
-            occupancy.total() <= report.counts.mem_accesses,
-            "plane routed {} accesses but the run only performed {}",
-            occupancy.total(),
-            report.counts.mem_accesses
-        );
-
-        let (_, sequential) = Simulator::default()
-            .try_run_with_occupancy(&w, Mode::Aikido)
-            .unwrap();
-        assert!(sequential.is_none(), "one worker: no plane");
-        let (_, native) = sim.try_run_with_occupancy(&w, Mode::Native).unwrap();
-        assert!(native.is_none(), "native mode: no analysis at all");
+        assert_eq!(occupancy, None);
+        assert_eq!(report, sim.run(&w, Mode::Aikido));
     }
 
     #[test]

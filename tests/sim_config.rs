@@ -80,4 +80,15 @@ fn the_json_wire_form_round_trips() {
     assert_eq!(parsed, SimConfig::default().with_workers(2));
     let junk = serde_json::from_str(r#"{"wokers": 2}"#).unwrap();
     assert!(SimConfig::from_json_value(&junk).is_err());
+
+    // `sharded_analysis` left the wire format with the sharded analysis
+    // plane: a config still carrying it gets the structured unknown-field
+    // error, never a panic.
+    let retired = serde_json::from_str(r#"{"workers": 4, "sharded_analysis": true}"#).unwrap();
+    let err = SimConfig::from_json_value(&retired).unwrap_err();
+    assert_eq!(err.field, "config", "{err}");
+    assert!(
+        err.reason.contains("unknown field 'sharded_analysis'"),
+        "{err}"
+    );
 }
